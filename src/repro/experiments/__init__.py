@@ -10,14 +10,16 @@
   sweeps (X-Search, PEAS, Tor);
 * :mod:`~repro.experiments.fig5_availability` — availability under a
   seeded fault schedule (enclave kill + engine outages, ``fig5a``);
-* :mod:`~repro.experiments.fig5_cluster` — replica scale-out: the
-  saturation sweep at 1/2/4 enclave replicas behind the session
-  router, plus availability through a deterministic replica kill;
-* :mod:`~repro.experiments.fig5_server` — the saturation sweep through
-  the network serving layer: every lane a
-  :class:`~repro.netserve.RemoteClient` on its own TCP connection
-  (virtual-clock DES mode with byte-identical same-seed digests, and
-  a wall-clock loopback mode comparable to ``fig5_measured``);
+* :mod:`~repro.experiments.fig5_measured` — the one open-loop sweep
+  runner over the real pipeline (``run_des``, a virtual-clock DES with
+  byte-identical same-seed digests; ``run_lanes``, wall-clock lanes),
+  and its in-process target;
+* :mod:`~repro.experiments.fig5_cluster` — the same sweep against 1/2/4
+  enclave replicas behind the session router, plus availability
+  through a deterministic replica kill;
+* :mod:`~repro.experiments.fig5_server` — the same sweep against a
+  loopback server: every lane a :class:`~repro.netserve.RemoteClient`
+  on its own TCP connection;
 * :mod:`~repro.experiments.fig6_memory` — enclave memory vs stored
   queries against the EPC limit;
 * :mod:`~repro.experiments.fig7_round_trip` — end-to-end RTT CDFs

@@ -30,20 +30,19 @@ Two questions, two entry points:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from repro.core.cluster import DEFAULT_VNODES, HashRing
 from repro.core.deployment import DeploymentConfig, XSearchDeployment
 from repro.errors import ReproError
 from repro.experiments.fig5_measured import (
+    WALL_KEEP_UP,
     PacedEngine,
-    _Lane,
-    _point,
     _query_pool,
+    run_lanes,
 )
-from repro.net.clock import SystemClock
-from repro.net.loadgen import OpenLoopLoadGenerator, saturation_rate
+from repro.net.loadgen import saturation_rate
+from repro.obs import MetricsRegistry, NullRecorder
 from repro.search.engine import SearchEngine
 
 #: Replica counts the scaling sweep visits (the Figure 5 cluster curve).
@@ -166,21 +165,17 @@ def run_scaling(*, replica_counts=DEFAULT_REPLICA_COUNTS,
     pacing bound leaves their measured peak CPU-limited — which is
     exactly the scale-out capacity the ratio gate compares.
     """
-    from repro.obs import MetricsRegistry, NullRecorder
-
-    clock = SystemClock()
     sweeps = []
     for replicas in replica_counts:
         engine = PacedEngine(
             SearchEngine.with_synthetic_corpus(seed=seed),
-            latency=engine_latency, clock=clock,
+            latency=engine_latency,
         )
         config = DeploymentConfig(
             seed=seed, k=k, replicas=replicas,
             max_workers=workers_per_replica,
         )
         session_ids = _balanced_session_ids(replicas, lanes)
-        points = []
         with XSearchDeployment.create(
             config=config, engine=engine,
             recorder=NullRecorder(), registry=MetricsRegistry(),
@@ -200,60 +195,18 @@ def run_scaling(*, replica_counts=DEFAULT_REPLICA_COUNTS,
             )
             for replica_id in routed.values():
                 pins[replica_id] += 1
-            for rate in rates:
-                arrivals = OpenLoopLoadGenerator(
-                    rate_rps=rate, duration_seconds=duration_seconds,
-                    seed=seed,
-                ).arrival_times()
-                queries = _query_pool(len(arrivals), seed)
-                shares = [([], []) for _ in range(lanes)]
-                for i, (arrival, query) in enumerate(
-                        zip(arrivals, queries)):
-                    shares[i % lanes][0].append(arrival)
-                    shares[i % lanes][1].append(query)
-                before = [
-                    handle.proxy.enclave.boundary_snapshot()
-                    for handle in handles
-                ]
-                epoch = clock.time()
-                lane_objs = [
-                    _Lane(client, share_arrivals, share_queries, limit,
-                          clock, epoch)
-                    for client, (share_arrivals, share_queries)
-                    in zip(clients, shares)
-                    if share_arrivals
-                ]
-                threads = [
-                    threading.Thread(target=lane.run,
-                                     name=f"fig5c-lane-{i}", daemon=True)
-                    for i, lane in enumerate(lane_objs)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-                request_ecalls = 0
-                for handle, snapshot in zip(handles, before):
-                    delta = handle.proxy.enclave.boundary_snapshot() \
-                        - snapshot
-                    request_ecalls += sum(
-                        count
-                        for name, count in delta.ecall_counts.items()
-                        if name in ("request", "request_batch",
-                                    "request_many")
-                    )
-                latencies = []
-                completions = []
-                for lane in lane_objs:
-                    latencies.extend(lane.latencies)
-                    completions.extend(lane.completions)
-                points.append(_point(rate, latencies, completions,
-                                     request_ecalls, []))
+            points = run_lanes(
+                deployment, clients,
+                [handle.proxy.enclave for handle in handles],
+                rates=rates, duration_seconds=duration_seconds,
+                seed=seed, limit=limit,
+            )
         sweeps.append(ClusterSweep(
             replicas=replicas,
             workers_per_replica=workers_per_replica,
             points=points,
-            saturation_rps=saturation_rate(points, keep_up_fraction=0.9),
+            saturation_rps=saturation_rate(points,
+                                           keep_up_fraction=WALL_KEEP_UP),
             sessions_per_replica=pins,
         ))
     return ClusterScalingResult(mode="wall", sweeps=sweeps)

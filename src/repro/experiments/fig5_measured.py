@@ -1,33 +1,36 @@
-"""Figure 5, measured — open-loop load against the *real* deployment.
+"""Figure 5, measured — the one open-loop sweep runner, in process.
 
 The original :mod:`~repro.experiments.fig5_throughput_latency` sweep
 drives analytic service models (:mod:`repro.net.queueing`): useful for
 the cross-system comparison, but it asserts nothing about our actual
-pipeline.  This harness replaces the simulated X-Search station with
-the real thing — client → broker → scheduler → enclave → engine — and
-measures the saturation curve the paper shows in Figure 5: offered
-rate vs p50/p99 latency, plus the two quantities that prove the
-scheduler's coalescing is doing its job, the batch-size histogram and
-mean *ecalls per request* (< 1 once batching amortises transitions).
+pipeline.  The paper's Figure 5 comes from one load method — wrk2-style
+open-loop arrivals, offered rate against p50/p99 latency — and this
+module holds the one runner for it.  Three harnesses build different
+targets and hand them to the same two loops: this module's
+:func:`run_virtual`/:func:`run_wallclock` an in-process deployment
+(client → broker → scheduler → enclave → engine),
+:mod:`~repro.experiments.fig5_server` a loopback TCP server and
+:mod:`~repro.experiments.fig5_cluster` an N-replica cluster.  Besides
+the latency curve, each point records the two quantities that prove
+the scheduler's coalescing works: the batch-size histogram and mean
+*ecalls per request* (< 1 once batching amortises transitions).
 
-Two modes share one code path for the pipeline itself:
-
-* **virtual mode** (:func:`run_virtual`) — a single-threaded
-  discrete-event simulation of the scheduler's policy (N workers,
-  adaptive coalescing up to ``max_batch``, engine fan-out ``fanout``)
-  in which every simulated batch *executes the real pipeline* — real
-  crypto, real enclave, real engine — and its simulated service time
-  is derived from the measured boundary-cycle delta of that execution.
+* :func:`run_des` — **virtual mode**.  A single-threaded discrete-event
+  simulation (DES) of the scheduler's policy (N workers, adaptive
+  coalescing up to ``max_batch``, engine fan-out ``fanout``) in which
+  every simulated batch *executes the real pipeline* — real crypto,
+  real enclave, real engine — and its simulated service time is
+  derived from the measured boundary-cycle delta of that execution.
   No threads, no wall clock: byte-identical results and trace digests
   for equal seeds, which is what the tier-1 tests pin.
-* **wall-clock mode** (:func:`run_wallclock`) — real scheduler worker
-  threads, real lanes of attested client sessions submitting on a
-  wrk2-style open-loop schedule, latencies measured from *intended*
-  send times with a :class:`~repro.net.clock.SystemClock`.  The engine
-  is paced (``engine_latency`` of simulated network service per
-  exchange, slept while the GIL is released) so concurrency shows up
-  as real overlap.  ``tools/bench_smoke.sh`` records this mode at 1
-  and 4 workers into ``BENCH_fig5.json``.
+* :func:`run_lanes` — **wall-clock mode**.  Real lanes of attested
+  client sessions submitting on an open-loop schedule, latencies
+  measured from *intended* send times with a
+  :class:`~repro.net.clock.SystemClock`.  The engine is a
+  :class:`PacedEngine` (a fixed service time per exchange, slept while
+  the GIL is released) so concurrency shows up as real overlap.
+  ``tools/bench_smoke.sh`` records the in-process curve at 1 and 4
+  workers into ``BENCH_fig5.json``.
 """
 
 from __future__ import annotations
@@ -39,14 +42,16 @@ import random
 import threading
 from dataclasses import dataclass
 
-from repro.core.deployment import XSearchDeployment
-from repro.core.scheduler import (
-    DEFAULT_COALESCE_WINDOW,
-    DEFAULT_MAX_BATCH,
-)
+from repro.core.deployment import DeploymentConfig, XSearchDeployment
+from repro.core.scheduler import DEFAULT_COALESCE_WINDOW, DEFAULT_MAX_BATCH
 from repro.net.clock import SystemClock
 from repro.net.loadgen import OpenLoopLoadGenerator, saturation_rate
-from repro.obs import TraceRecorder, trace_digest
+from repro.obs import (
+    MetricsRegistry,
+    NullRecorder,
+    TraceRecorder,
+    trace_digest,
+)
 from repro.search.engine import SearchEngine
 from repro.sgx.runtime import DEFAULT_CLOCK_HZ
 
@@ -56,6 +61,12 @@ DEFAULT_ENGINE_LATENCY = 0.004
 #: Modelled in-enclave compute per record (virtual mode), seconds.
 DEFAULT_COMPUTE_PER_RECORD = 0.0002
 DEFAULT_LIMIT = 5
+#: Keep-up fraction for wall-clock knees.  Wall-clock runs jitter; a
+#: slightly looser bound than the simulated sweeps keeps the knee
+#: estimate stable across machines.
+WALL_KEEP_UP = 0.9
+#: The enclave entry points that serve search records.
+_REQUEST_ECALLS = ("request", "request_batch", "request_many")
 _QUERY_TERMS = (
     "hotel", "rome", "weather", "nba", "election", "recipe", "flight",
     "paris", "battery", "train", "cinema", "stocks", "museum", "pizza",
@@ -68,6 +79,14 @@ def _query_pool(count: int, seed: int) -> list:
         f"{rng.choice(_QUERY_TERMS)} {rng.choice(_QUERY_TERMS)} {i}"
         for i in range(count)
     ]
+
+
+def _schedule(rate: float, duration_seconds: float, seed: int) -> tuple:
+    """One rate's open-loop arrival times and the queries they carry."""
+    arrivals = OpenLoopLoadGenerator(
+        rate_rps=rate, duration_seconds=duration_seconds, seed=seed,
+    ).arrival_times()
+    return arrivals, _query_pool(len(arrivals), seed)
 
 
 class PacedEngine:
@@ -129,7 +148,7 @@ class MeasuredPoint:
 
 @dataclass
 class MeasuredFig5Result:
-    mode: str  # "virtual" or "wall"
+    mode: str  # "virtual", "wall", "server-virtual" or "server-wall"
     max_workers: int
     points: list
     saturation_rps: float
@@ -215,91 +234,71 @@ def _point(offered: float, latencies: list, completions: list,
 # ----------------------------------------------------------------------
 # Virtual mode: deterministic discrete-event sweep over the real pipeline
 # ----------------------------------------------------------------------
-def run_virtual(*, max_workers: int = 4, rates=(50, 100, 200, 400, 800),
-                duration_seconds: float = 1.0, seed: int = 0,
-                k: int = 3, limit: int = DEFAULT_LIMIT,
-                max_batch: int = DEFAULT_MAX_BATCH,
-                fanout: int = None,
-                engine_latency: float = DEFAULT_ENGINE_LATENCY,
-                compute_per_record: float = DEFAULT_COMPUTE_PER_RECORD,
-                clock_hz: float = DEFAULT_CLOCK_HZ) -> MeasuredFig5Result:
-    """Deterministic saturation sweep: DES of the scheduler's policy,
-    service times measured from real pipeline executions.
+def run_des(enclave, search_batch, *, max_workers: int, rates,
+            duration_seconds: float, seed: int, limit: int,
+            max_batch: int, fanout, engine_latency: float,
+            compute_per_record: float, clock_hz: float) -> list:
+    """One :class:`MeasuredPoint` per rate, from a DES of the scheduler.
 
-    Each simulated batch is really executed (``broker.search_batch``
-    through the enclave), and its simulated service time is
+    Each simulated batch is really executed (``search_batch(queries,
+    limit=limit)`` through ``enclave``), and its simulated service
+    time is
 
     ``boundary_cycles / clock_hz  +  compute_per_record × B
     + engine_latency × ceil(B / fanout)``
 
     — the measured transition cost of that very batch, the modelled
     enclave compute, and the batch's engine exchanges divided across
-    ``fanout`` parallel connections.  Workers, arrivals and coalescing
-    follow :class:`~repro.core.scheduler.RequestScheduler` semantics:
-    a freed worker takes the whole backlog up to ``max_batch``, so one
-    ecall covers B requests exactly when load is highest.
+    ``fanout`` parallel connections (``None``: two per worker).
+    Workers, arrivals and coalescing follow
+    :class:`~repro.core.scheduler.RequestScheduler` semantics: a freed
+    worker takes the whole backlog up to ``max_batch``, so one ecall
+    covers B requests exactly when load is highest.
     """
     if fanout is None:
         fanout = 2 * max_workers   # the deployment's concurrent default
-    recorder = TraceRecorder()
     points = []
-    with XSearchDeployment.create(seed=seed, k=k,
-                                  recorder=recorder) as deployment:
-        enclave = deployment.proxy.enclave
-        for rate in rates:
-            arrivals = OpenLoopLoadGenerator(
-                rate_rps=rate, duration_seconds=duration_seconds,
-                seed=seed,
-            ).arrival_times()
-            queries = _query_pool(len(arrivals), seed)
-            workers = [0.0] * max_workers
-            heapq.heapify(workers)
-            latencies = []
-            completions = []
-            batch_sizes = []
-            ecalls_before = enclave.boundary_snapshot().ecalls
-            index = 0
-            while index < len(arrivals):
-                free_at = heapq.heappop(workers)
-                start = max(free_at, arrivals[index])
-                batch = [index]
+    for rate in rates:
+        arrivals, queries = _schedule(rate, duration_seconds, seed)
+        workers = [0.0] * max_workers
+        heapq.heapify(workers)
+        latencies = []
+        completions = []
+        batch_sizes = []
+        ecalls_before = enclave.boundary_snapshot().ecalls
+        index = 0
+        while index < len(arrivals):
+            free_at = heapq.heappop(workers)
+            start = max(free_at, arrivals[index])
+            batch = [index]
+            index += 1
+            while (index < len(arrivals)
+                   and len(batch) < max_batch
+                   and arrivals[index] <= start):
+                batch.append(index)
                 index += 1
-                while (index < len(arrivals)
-                       and len(batch) < max_batch
-                       and arrivals[index] <= start):
-                    batch.append(index)
-                    index += 1
-                size = len(batch)
-                before = enclave.boundary_snapshot().cycles
-                deployment.broker.search_batch(
-                    [queries[j] for j in batch], limit=limit,
-                )
-                cycles = enclave.boundary_snapshot().cycles - before
-                sends = -(-size // fanout)  # ceil
-                service = (cycles / clock_hz
-                           + compute_per_record * size
-                           + engine_latency * sends)
-                done = start + service
-                for j in batch:
-                    latencies.append(done - arrivals[j])
-                    completions.append(done)
-                batch_sizes.append(size)
-                heapq.heappush(workers, done)
-            ecalls = enclave.boundary_snapshot().ecalls - ecalls_before
-            points.append(_point(rate, latencies, completions,
-                                 ecalls, batch_sizes))
-    digest = trace_digest(recorder)
-    return MeasuredFig5Result(
-        mode="virtual",
-        max_workers=max_workers,
-        points=points,
-        saturation_rps=saturation_rate(points),
-        trace_digest=digest,
-    )
+            size = len(batch)
+            before = enclave.boundary_snapshot().cycles
+            search_batch([queries[j] for j in batch], limit=limit)
+            cycles = enclave.boundary_snapshot().cycles - before
+            sends = -(-size // fanout)  # ceil
+            service = (cycles / clock_hz
+                       + compute_per_record * size
+                       + engine_latency * sends)
+            done = start + service
+            for j in batch:
+                latencies.append(done - arrivals[j])
+                completions.append(done)
+            batch_sizes.append(size)
+            heapq.heappush(workers, done)
+        ecalls = enclave.boundary_snapshot().ecalls - ecalls_before
+        points.append(_point(rate, latencies, completions,
+                             ecalls, batch_sizes))
+    return points
 
 
 # ----------------------------------------------------------------------
-# Wall-clock mode: the real scheduler under real open-loop load
+# Wall-clock mode: real lanes under real open-loop load
 # ----------------------------------------------------------------------
 class _Lane:
     """One submitter lane: its own attested client session, serving its
@@ -332,6 +331,106 @@ class _Lane:
             self.completions.append(done)
 
 
+def _request_ecalls(enclaves, before) -> int:
+    """Search-serving ecalls each enclave took since its ``before``
+    boundary snapshot, summed."""
+    total = 0
+    for enclave, snapshot in zip(enclaves, before):
+        delta = enclave.boundary_snapshot() - snapshot
+        total += sum(count for name, count in delta.ecall_counts.items()
+                     if name in _REQUEST_ECALLS)
+    return total
+
+
+def _batch_totals(registry) -> tuple:
+    """``(batches, records)`` the deployment's schedulers have executed
+    so far, read from the shared metrics registry."""
+    if registry is None:
+        return 0, 0
+    return tuple(getattr(registry.get(name), "value", 0)
+                 for name in ("scheduler.batches", "scheduler.submitted"))
+
+
+def run_lanes(deployment, clients, enclaves, *, rates,
+              duration_seconds: float, seed: int, limit: int) -> list:
+    """One :class:`MeasuredPoint` per rate, from live open-loop lanes.
+
+    Each rate's arrivals are dealt round-robin over ``clients`` (one
+    lane thread each); ecalls are counted on ``enclaves`` and batch
+    sizes read from ``deployment.registry``'s scheduler counters.
+    """
+    clock = SystemClock()
+    count = len(clients)
+    points = []
+    for rate in rates:
+        arrivals, queries = _schedule(rate, duration_seconds, seed)
+        before = [enclave.boundary_snapshot() for enclave in enclaves]
+        totals_before = _batch_totals(deployment.registry)
+        epoch = clock.time()
+        lanes = [
+            _Lane(client, arrivals[i::count], queries[i::count], limit,
+                  clock, epoch)
+            for i, client in enumerate(clients)
+            if arrivals[i::count]
+        ]
+        threads = [
+            threading.Thread(target=lane.run, name=f"fig5-lane-{i}",
+                             daemon=True)
+            for i, lane in enumerate(lanes)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        # Per-batch sizes are not kept; the rate's mean batch size,
+        # once per batch, reconstructs its histogram from the deltas.
+        totals = _batch_totals(deployment.registry)
+        batches = totals[0] - totals_before[0]
+        records = totals[1] - totals_before[1]
+        batch_sizes = [max(1, round(records / max(batches, 1)))] * batches
+        latencies = [value for lane in lanes for value in lane.latencies]
+        completions = [done for lane in lanes for done in lane.completions]
+        points.append(_point(rate, latencies, completions,
+                             _request_ecalls(enclaves, before),
+                             batch_sizes))
+    return points
+
+
+# ----------------------------------------------------------------------
+# The in-process target
+# ----------------------------------------------------------------------
+def run_virtual(*, max_workers: int = 4, rates=(50, 100, 200, 400, 800),
+                duration_seconds: float = 1.0, seed: int = 0,
+                k: int = 3, limit: int = DEFAULT_LIMIT,
+                max_batch: int = DEFAULT_MAX_BATCH,
+                fanout: int = None,
+                engine_latency: float = DEFAULT_ENGINE_LATENCY,
+                compute_per_record: float = DEFAULT_COMPUTE_PER_RECORD,
+                clock_hz: float = DEFAULT_CLOCK_HZ) -> MeasuredFig5Result:
+    """Deterministic saturation sweep: the :func:`run_des` model over
+    an in-process deployment, each batch through
+    ``broker.search_batch``."""
+    recorder = TraceRecorder()
+    config = DeploymentConfig(seed=seed, k=k)
+    with XSearchDeployment.create(config=config,
+                                  recorder=recorder) as deployment:
+        points = run_des(
+            deployment.proxy.enclave, deployment.broker.search_batch,
+            max_workers=max_workers, rates=rates,
+            duration_seconds=duration_seconds, seed=seed, limit=limit,
+            max_batch=max_batch, fanout=fanout,
+            engine_latency=engine_latency,
+            compute_per_record=compute_per_record, clock_hz=clock_hz,
+        )
+    return MeasuredFig5Result(
+        mode="virtual",
+        max_workers=max_workers,
+        points=points,
+        saturation_rps=saturation_rate(points),
+        trace_digest=trace_digest(recorder),
+    )
+
+
 def run_wallclock(*, max_workers: int = 4,
                   rates=(15, 30, 60, 120, 240, 420),
                   duration_seconds: float = 0.4, seed: int = 0,
@@ -348,103 +447,30 @@ def run_wallclock(*, max_workers: int = 4,
     schedule.  Wall-clock numbers — not deterministic; the committed
     artefact records them alongside the virtual mode's pinned curve.
     """
-    from repro.obs import MetricsRegistry, NullRecorder
-
-    clock = SystemClock()
-    engine = PacedEngine(
-        SearchEngine.with_synthetic_corpus(seed=seed),
-        latency=engine_latency, clock=clock,
+    engine = PacedEngine(SearchEngine.with_synthetic_corpus(seed=seed),
+                         latency=engine_latency)
+    config = DeploymentConfig(
+        seed=seed, k=k, max_workers=max_workers,
+        coalesce_window=coalesce_window, max_batch=max_batch,
     )
-    points = []
-    registry = MetricsRegistry()
     with XSearchDeployment.create(
-        seed=seed, k=k, engine=engine,
-        max_workers=max_workers,
-        coalesce_window=coalesce_window,
-        max_batch=max_batch,
-        recorder=NullRecorder(), registry=registry,
+        config=config, engine=engine,
+        recorder=NullRecorder(), registry=MetricsRegistry(),
     ) as deployment:
-        enclave = deployment.proxy.enclave
         clients = [deployment.client(user_id=f"lane-{i}")
                    for i in range(lanes)]
-        for rate in rates:
-            arrivals = OpenLoopLoadGenerator(
-                rate_rps=rate, duration_seconds=duration_seconds,
-                seed=seed,
-            ).arrival_times()
-            queries = _query_pool(len(arrivals), seed)
-            shares = [([], []) for _ in range(lanes)]
-            for i, (arrival, query) in enumerate(zip(arrivals, queries)):
-                shares[i % lanes][0].append(arrival)
-                shares[i % lanes][1].append(query)
-            before = enclave.boundary_snapshot()
-            epoch = clock.time()
-            lane_objs = [
-                _Lane(client, share_arrivals, share_queries, limit,
-                      clock, epoch)
-                for client, (share_arrivals, share_queries)
-                in zip(clients, shares)
-                if share_arrivals
-            ]
-            threads = [
-                threading.Thread(target=lane.run,
-                                 name=f"fig5-lane-{i}", daemon=True)
-                for i, lane in enumerate(lane_objs)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            delta = enclave.boundary_snapshot() - before
-            request_ecalls = sum(
-                count for name, count in delta.ecall_counts.items()
-                if name in ("request", "request_batch", "request_many")
-            )
-            batch_sizes = _drain_batches(deployment)
-            latencies = []
-            completions = []
-            for lane in lane_objs:
-                latencies.extend(lane.latencies)
-                completions.extend(lane.completions)
-            points.append(_point(rate, latencies, completions,
-                                 request_ecalls, batch_sizes))
-    # Wall-clock runs jitter; a slightly looser keep-up bound than the
-    # simulated sweeps keeps the knee estimate stable across machines.
+        points = run_lanes(
+            deployment, clients, [deployment.proxy.enclave],
+            rates=rates, duration_seconds=duration_seconds, seed=seed,
+            limit=limit,
+        )
     return MeasuredFig5Result(
         mode="wall",
         max_workers=max_workers,
         points=points,
-        saturation_rps=saturation_rate(points, keep_up_fraction=0.9),
+        saturation_rps=saturation_rate(points,
+                                       keep_up_fraction=WALL_KEEP_UP),
     )
-
-
-_BATCH_LOG = {}
-_BATCH_LOG_LOCK = threading.Lock()
-
-
-def _drain_batches(deployment) -> list:
-    """Per-rate batch sizes, reconstructed from the scheduler's batch
-    counter deltas (the registry histogram only keeps aggregates)."""
-    registry = deployment.registry
-    if registry is None or deployment.scheduler is None:
-        return []
-    batches = registry.get("scheduler.batches")
-    records = registry.get("scheduler.submitted")
-    if batches is None or records is None:
-        return []
-    with _BATCH_LOG_LOCK:
-        key = id(deployment)
-        prev_batches, prev_records = _BATCH_LOG.get(key, (0, 0))
-        delta_batches = batches.value - prev_batches
-        delta_records = records.value - prev_records
-        _BATCH_LOG[key] = (batches.value, records.value)
-    if delta_batches <= 0:
-        return []
-    # Aggregate reconstruction: report the mean batch size that many
-    # times (exact per-batch sizes live in the scheduler.batch_size
-    # histogram's summary, which bench_smoke.sh attaches separately).
-    mean = max(1, round(delta_records / delta_batches))
-    return [mean] * delta_batches
 
 
 def format_table(result: MeasuredFig5Result) -> str:

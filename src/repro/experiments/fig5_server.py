@@ -9,7 +9,7 @@ framing, syscalls, per-connection reader threads — and the acceptance
 gate in ``tools/bench_smoke.sh`` pins it: the 4-worker knee over real
 sockets must stay within 30% of the in-process knee.
 
-Both modes reuse the measurement machinery of ``fig5_measured``:
+Both modes run through the one sweep runner of ``fig5_measured``:
 
 * **virtual mode** (:func:`run_virtual`) — the same single-threaded
   discrete-event sweep, except every simulated batch executes through
@@ -25,54 +25,44 @@ Both modes reuse the measurement machinery of ``fig5_measured``:
 
 from __future__ import annotations
 
-import heapq
-import threading
-
 from repro.core.deployment import DeploymentConfig, XSearchDeployment
-from repro.core.scheduler import (
-    DEFAULT_COALESCE_WINDOW,
-    DEFAULT_MAX_BATCH,
-)
+from repro.core.scheduler import DEFAULT_COALESCE_WINDOW, DEFAULT_MAX_BATCH
 from repro.experiments.fig5_measured import (
     DEFAULT_COMPUTE_PER_RECORD,
     DEFAULT_ENGINE_LATENCY,
     DEFAULT_LIMIT,
+    WALL_KEEP_UP,
     MeasuredFig5Result,
     PacedEngine,
-    _Lane,
-    _point,
-    _query_pool,
     format_table,
+    run_des,
+    run_lanes,
 )
-from repro.net.clock import SystemClock, VirtualClock
-from repro.net.loadgen import OpenLoopLoadGenerator, saturation_rate
+from repro.net.clock import VirtualClock
+from repro.net.loadgen import saturation_rate
 from repro.netserve.client import RemoteClient
 from repro.netserve.server import XSearchServer
-from repro.obs import TraceRecorder, trace_digest
+from repro.obs import (
+    MetricsRegistry,
+    NullRecorder,
+    TraceRecorder,
+    trace_digest,
+)
 from repro.search.engine import SearchEngine
 from repro.sgx.runtime import DEFAULT_CLOCK_HZ
 
 __all__ = ["run_virtual", "run_wallclock", "format_table"]
 
 
-def _remote_client(deployment, server, *, user_id, clock=None,
-                   recorder=None, registry=None,
-                   busy_retries=8) -> RemoteClient:
+def _remote_client(deployment, server, **options) -> RemoteClient:
     return RemoteClient(
         server.address,
         service_public_key=deployment.attestation_service.public_key,
         expected_measurement=deployment.proxy.measurement,
-        user_id=user_id,
-        clock=clock,
-        busy_retries=busy_retries,
-        recorder=recorder,
-        registry=registry,
+        busy_retries=8, **options,
     )
 
 
-# ----------------------------------------------------------------------
-# Virtual mode: deterministic DES, every batch over a real socket
-# ----------------------------------------------------------------------
 def run_virtual(*, max_workers: int = 4, rates=(50, 100, 200, 400, 800),
                 duration_seconds: float = 1.0, seed: int = 0,
                 k: int = 3, limit: int = DEFAULT_LIMIT,
@@ -83,83 +73,41 @@ def run_virtual(*, max_workers: int = 4, rates=(50, 100, 200, 400, 800),
                 clock_hz: float = DEFAULT_CLOCK_HZ) -> MeasuredFig5Result:
     """Deterministic saturation sweep with the wire in the pipeline.
 
-    The discrete-event model (workers, arrivals, coalescing) is the one
-    :func:`repro.experiments.fig5_measured.run_virtual` documents; the
-    executed pipeline additionally crosses the loopback socket and the
-    server's dispatch path, so the pinned trace digest covers the
+    The discrete-event model is
+    :func:`repro.experiments.fig5_measured.run_des`;
+    the executed pipeline additionally crosses the loopback socket and
+    the server's dispatch path, so the pinned trace digest covers the
     serving layer's spans too.
     """
     if fanout is None:
         fanout = 2 * max_workers
     recorder = TraceRecorder()
-    points = []
     config = DeploymentConfig(seed=seed, k=k,
                               proxy_options={"fanout": fanout})
     with XSearchDeployment.create(config=config,
-                                  recorder=recorder) as deployment:
-        enclave = deployment.proxy.enclave
-        with XSearchServer(deployment, idle_timeout=None,
-                           recorder=recorder) as server:
-            client = _remote_client(
-                deployment, server, user_id="fig5-virtual",
-                clock=VirtualClock(), recorder=recorder,
-            )
-            for rate in rates:
-                arrivals = OpenLoopLoadGenerator(
-                    rate_rps=rate, duration_seconds=duration_seconds,
-                    seed=seed,
-                ).arrival_times()
-                queries = _query_pool(len(arrivals), seed)
-                workers = [0.0] * max_workers
-                heapq.heapify(workers)
-                latencies = []
-                completions = []
-                batch_sizes = []
-                ecalls_before = enclave.boundary_snapshot().ecalls
-                index = 0
-                while index < len(arrivals):
-                    free_at = heapq.heappop(workers)
-                    start = max(free_at, arrivals[index])
-                    batch = [index]
-                    index += 1
-                    while (index < len(arrivals)
-                           and len(batch) < max_batch
-                           and arrivals[index] <= start):
-                        batch.append(index)
-                        index += 1
-                    size = len(batch)
-                    before = enclave.boundary_snapshot().cycles
-                    client.search_batch(
-                        [queries[j] for j in batch], limit=limit,
-                    )
-                    cycles = enclave.boundary_snapshot().cycles - before
-                    sends = -(-size // fanout)  # ceil
-                    service = (cycles / clock_hz
-                               + compute_per_record * size
-                               + engine_latency * sends)
-                    done = start + service
-                    for j in batch:
-                        latencies.append(done - arrivals[j])
-                        completions.append(done)
-                    batch_sizes.append(size)
-                    heapq.heappush(workers, done)
-                ecalls = enclave.boundary_snapshot().ecalls - ecalls_before
-                points.append(_point(rate, latencies, completions,
-                                     ecalls, batch_sizes))
-            client.close()
-    digest = trace_digest(recorder)
+                                  recorder=recorder) as deployment, \
+            XSearchServer(deployment, idle_timeout=None,
+                          recorder=recorder) as server, \
+            _remote_client(deployment, server, user_id="fig5-virtual",
+                           clock=VirtualClock(),
+                           recorder=recorder) as client:
+        points = run_des(
+            deployment.proxy.enclave, client.search_batch,
+            max_workers=max_workers, rates=rates,
+            duration_seconds=duration_seconds, seed=seed, limit=limit,
+            max_batch=max_batch, fanout=fanout,
+            engine_latency=engine_latency,
+            compute_per_record=compute_per_record, clock_hz=clock_hz,
+        )
     return MeasuredFig5Result(
         mode="server-virtual",
         max_workers=max_workers,
         points=points,
         saturation_rps=saturation_rate(points),
-        trace_digest=digest,
+        trace_digest=trace_digest(recorder),
     )
 
 
-# ----------------------------------------------------------------------
-# Wall-clock mode: remote lanes against the live server
-# ----------------------------------------------------------------------
 def run_wallclock(*, max_workers: int = 4,
                   rates=(15, 30, 60, 120, 240, 420),
                   duration_seconds: float = 0.4, seed: int = 0,
@@ -171,20 +119,13 @@ def run_wallclock(*, max_workers: int = 4,
                   ) -> MeasuredFig5Result:
     """Measured saturation sweep through real loopback sockets.
 
-    The lane/arrival/latency machinery matches
-    :func:`repro.experiments.fig5_measured.run_wallclock` — same rates,
-    same paced engine, same open-loop accounting — with every lane a
-    :class:`RemoteClient` on its own TCP connection, so the two
+    The same lanes, rates, paced engine and open-loop accounting as
+    :func:`repro.experiments.fig5_measured.run_wallclock`, with every
+    lane a :class:`RemoteClient` on its own TCP connection, so the two
     harnesses' knees are directly comparable.
     """
-    from repro.obs import MetricsRegistry, NullRecorder
-
-    clock = SystemClock()
-    engine = PacedEngine(
-        SearchEngine.with_synthetic_corpus(seed=seed),
-        latency=engine_latency, clock=clock,
-    )
-    points = []
+    engine = PacedEngine(SearchEngine.with_synthetic_corpus(seed=seed),
+                         latency=engine_latency)
     registry = MetricsRegistry()
     recorder = NullRecorder()
     config = DeploymentConfig(
@@ -194,69 +135,29 @@ def run_wallclock(*, max_workers: int = 4,
     with XSearchDeployment.create(
         config=config, engine=engine,
         recorder=recorder, registry=registry,
-    ) as deployment:
-        enclave = deployment.proxy.enclave
-        with XSearchServer(deployment,
-                           max_connections=lanes + 4,
-                           idle_timeout=None,
-                           recorder=recorder,
-                           registry=registry) as server:
-            clients = [
-                _remote_client(deployment, server,
-                               user_id=f"lane-{i}",
-                               recorder=recorder, registry=registry)
-                for i in range(lanes)
-            ]
-            for rate in rates:
-                arrivals = OpenLoopLoadGenerator(
-                    rate_rps=rate, duration_seconds=duration_seconds,
-                    seed=seed,
-                ).arrival_times()
-                queries = _query_pool(len(arrivals), seed)
-                shares = [([], []) for _ in range(lanes)]
-                for i, (arrival, query) in enumerate(
-                        zip(arrivals, queries)):
-                    shares[i % lanes][0].append(arrival)
-                    shares[i % lanes][1].append(query)
-                before = enclave.boundary_snapshot()
-                epoch = clock.time()
-                lane_objs = [
-                    _Lane(client, share_arrivals, share_queries, limit,
-                          clock, epoch)
-                    for client, (share_arrivals, share_queries)
-                    in zip(clients, shares)
-                    if share_arrivals
-                ]
-                threads = [
-                    threading.Thread(target=lane.run,
-                                     name=f"fig5-server-lane-{i}",
-                                     daemon=True)
-                    for i, lane in enumerate(lane_objs)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-                delta = enclave.boundary_snapshot() - before
-                request_ecalls = sum(
-                    count for name, count in delta.ecall_counts.items()
-                    if name in ("request", "request_batch",
-                                "request_many")
-                )
-                latencies = []
-                completions = []
-                for lane in lane_objs:
-                    latencies.extend(lane.latencies)
-                    completions.extend(lane.completions)
-                points.append(_point(rate, latencies, completions,
-                                     request_ecalls, []))
-            for client in clients:
-                client.close()
+    ) as deployment, XSearchServer(deployment,
+                                   max_connections=lanes + 4,
+                                   idle_timeout=None,
+                                   recorder=recorder,
+                                   registry=registry) as server:
+        clients = [
+            _remote_client(deployment, server, user_id=f"lane-{i}",
+                           recorder=recorder, registry=registry)
+            for i in range(lanes)
+        ]
+        points = run_lanes(
+            deployment, clients, [deployment.proxy.enclave],
+            rates=rates, duration_seconds=duration_seconds, seed=seed,
+            limit=limit,
+        )
+        for client in clients:
+            client.close()
     return MeasuredFig5Result(
         mode="server-wall",
         max_workers=max_workers,
         points=points,
-        saturation_rps=saturation_rate(points, keep_up_fraction=0.9),
+        saturation_rps=saturation_rate(points,
+                                       keep_up_fraction=WALL_KEEP_UP),
     )
 
 

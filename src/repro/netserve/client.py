@@ -36,7 +36,7 @@ from __future__ import annotations
 import socket
 import threading
 
-from repro.core.broker import Broker
+from repro.core.broker import DEFAULT_LIMIT, Broker, _limit_from_args
 from repro.core.client import XSearchClient
 from repro.core.retry import RetryPolicy
 from repro.errors import (
@@ -399,11 +399,17 @@ class RemoteClient:
         the wire (the wire's ``REPLY_DEGRADED`` is a drain signal)."""
         return self._client.last_degraded
 
-    def search(self, query: str, *args, **kwargs) -> list:
-        return self._client.search(query, *args, **kwargs)
+    # The deprecated positional ``limit`` is resolved here, not passed
+    # through, so its DeprecationWarning names this method's caller.
+    def search(self, query: str, *args, limit: int = DEFAULT_LIMIT,
+               **kwargs) -> list:
+        limit = _limit_from_args(args, limit, "search")
+        return self._client.search(query, limit=limit, **kwargs)
 
-    def search_batch(self, queries, *args, **kwargs) -> list:
-        return self._client.search_batch(queries, *args, **kwargs)
+    def search_batch(self, queries, *args, limit: int = DEFAULT_LIMIT,
+                     **kwargs) -> list:
+        limit = _limit_from_args(args, limit, "search_batch")
+        return self._client.search_batch(queries, limit=limit, **kwargs)
 
     def ping(self, payload: bytes = b"") -> bytes:
         return self._transport.ping(payload)

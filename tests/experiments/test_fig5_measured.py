@@ -16,6 +16,11 @@ from repro.experiments import fig5_measured
 
 RATES = (100, 300, 1200)
 KW = dict(duration_seconds=0.2, seed=7, k=2, limit=1, rates=RATES)
+#: ``run_virtual(max_workers=4, **KW).digest()``.  A change to the
+#: pipeline that moves it must say why.
+FOUR_WORKER_DIGEST = (
+    "2c84b63a67f249b174257474eb2d0d60a7481c3e293db0debdbc9260c2dd9085"
+)
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +37,10 @@ def test_virtual_mode_is_byte_deterministic(four_workers):
     again = fig5_measured.run_virtual(max_workers=4, **KW)
     assert four_workers.digest() == again.digest()
     assert four_workers.summary() == again.summary()
+
+
+def test_virtual_digest_is_pinned(four_workers):
+    assert four_workers.digest() == FOUR_WORKER_DIGEST
 
 
 def test_four_workers_at_least_double_the_knee(four_workers, one_worker):
@@ -80,3 +89,16 @@ def test_wallclock_smoke():
     assert point.requests > 0
     assert point.ecalls_per_request <= 1.0 + 1e-9
     assert fig5_measured.format_table(result)
+
+
+def test_back_to_back_wallclock_runs_both_report_batches():
+    """Each run reads its own scheduler's batch counters: a second
+    deployment in the same process must not inherit the first's."""
+    for _ in range(2):
+        result = fig5_measured.run_wallclock(
+            max_workers=2, rates=(20, 40), duration_seconds=0.2,
+            lanes=4, engine_latency=0.005,
+        )
+        served = [point for point in result.points if point.requests]
+        assert served
+        assert all(point.batch_histogram for point in served)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from _helpers import make_client
@@ -27,6 +29,17 @@ def test_remote_matches_in_process_results(served):
         )
     finally:
         over_wire.close()
+
+
+def test_positional_limit_warning_names_the_caller(remote):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert len(remote.search("cheap hotel rome", 2)) <= 2
+        assert len(remote.search_batch(["nfl playoffs"], 2)) == 1
+    deprecations = [w for w in caught
+                    if issubclass(w.category, DeprecationWarning)]
+    assert len(deprecations) == 2
+    assert {w.filename for w in deprecations} == {__file__}
 
 
 def test_search_batch_end_to_end(remote):
