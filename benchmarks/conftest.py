@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.deployment import XSearchDeployment
+from repro.core.deployment import DeploymentConfig, XSearchDeployment
 from repro.experiments.context import ContextConfig, ExperimentContext
 
 
@@ -21,7 +21,8 @@ def context():
 
 @pytest.fixture(scope="session")
 def deployment():
-    deployment = XSearchDeployment.create(k=3, seed=17, history_capacity=50_000)
+    deployment = XSearchDeployment.create(config=DeploymentConfig(
+        k=3, seed=17, history_capacity=50_000))
     deployment.warm_history(
         [f"warm background traffic {i} term{i % 97}" for i in range(500)]
     )

@@ -77,7 +77,7 @@ def test_end_to_end_private_search(benchmark, deployment):
     queries = iter(f"hotel rome probe {i}" for i in range(10_000_000))
 
     def search():
-        return deployment.client.search(next(queries), 10)
+        return deployment.client.search(next(queries), limit=10)
 
     results = benchmark(search)
     assert results is not None

@@ -17,16 +17,13 @@ exit tears the proxy (or the whole cluster) down cleanly, and
 client with its own broker session.
 
 Configuration is a value, not a pile of keywords: build a frozen
-:class:`DeploymentConfig` and pass ``create(config=...)``.  The classic
-keyword spellings (``k=``, ``seed=``, ``max_workers=``, proxy
-passthroughs, …) keep working but emit :class:`DeprecationWarning` and
-fold into a config, so both paths build byte-identical systems.
+:class:`DeploymentConfig` and pass
+``XSearchDeployment.create(config=DeploymentConfig(k=3, seed=7))``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 
 from repro.core.broker import Broker
@@ -61,8 +58,19 @@ DEFAULT_ATTESTATION_KEY_BITS = 1024
 #: Version stamp of the :class:`DeploymentConfig` schema.
 CONFIG_VERSION = 1
 
-#: Sentinel distinguishing "not passed" from an explicit ``None``.
-_UNSET = object()
+#: ``proxy_options`` keys that :meth:`XSearchDeployment.create` sets
+#: itself, mapped to the spelling that sets them instead.
+_RESERVED_PROXY_OPTIONS = {
+    "k": "DeploymentConfig.k",
+    "history_capacity": "DeploymentConfig.history_capacity",
+    "rng_seed": "DeploymentConfig.seed",
+    "retry_policy": "DeploymentConfig.retry_policy",
+    "fanout": "DeploymentConfig.fanout",
+    "quoting_enclave": "create(attestation=...)",
+    "attestation_service": "create(attestation=...)",
+    "recorder": "create(recorder=...)",
+    "registry": "create(registry=...)",
+}
 
 
 @dataclass(frozen=True)
@@ -72,9 +80,11 @@ class DeploymentConfig:
 
     ``proxy_options`` carries the :class:`XSearchProxyHost` passthroughs
     (``epc``, ``sealing_platform``, ``fault_plan``, ``cache_bytes``,
-    ``pool_connections``, …); ``replica_fault_plans`` maps a replica
-    *index* to its own :class:`~repro.faults.plan.FaultPlan`, so one
-    replica can be killed deterministically while the others serve.
+    ``pool_connections``, …) and rejects a key the deployment sets
+    itself (``k``, ``fanout``, ``retry_policy``, …).
+    ``replica_fault_plans`` maps a replica *index* to its own
+    :class:`~repro.faults.plan.FaultPlan`, so one replica can be killed
+    deterministically while the others serve.
     ``fanout=None`` resolves to the concurrent default (two engine
     connections per worker) when ``max_workers`` is set.
     """
@@ -117,6 +127,12 @@ class DeploymentConfig:
         # Freeze owned copies so a caller mutating their dict afterwards
         # cannot change an already-built deployment's meaning.
         object.__setattr__(self, "proxy_options", dict(self.proxy_options))
+        for key in self.proxy_options:
+            if key in _RESERVED_PROXY_OPTIONS:
+                raise ValueError(
+                    f"proxy_options[{key!r}] is set by the deployment; "
+                    f"use {_RESERVED_PROXY_OPTIONS[key]} instead"
+                )
         if self.replica_fault_plans is not None:
             object.__setattr__(
                 self, "replica_fault_plans", dict(self.replica_fault_plans)
@@ -140,7 +156,8 @@ class _ClientFacade:
     working; *calling* it (``deployment.client(user_id="bob")``) mints a
     new attested client with its own broker session.  Minted clients go
     through ``deployment.frontend`` — the same scheduler (or cluster
-    router) the default client uses — never straight at a proxy.
+    router) the default client uses — never straight at a proxy.  The
+    default client itself is minted here too.
     """
 
     __slots__ = ("_deployment",)
@@ -199,24 +216,11 @@ class XSearchDeployment:
     cluster: XSearchCluster = None
     config: DeploymentConfig = None
 
-    #: The keyword spellings predating :class:`DeploymentConfig`; all
-    #: still accepted by :meth:`create`, with a DeprecationWarning.
-    _LEGACY_CREATE_KWARGS = (
-        "k", "history_capacity", "seed", "key_bits", "connect",
-        "max_workers", "coalesce_window", "max_batch", "retry_policy",
-        "fanout", "replicas",
-    )
-
     @classmethod
     def create(cls, *, config: DeploymentConfig = None,
                engine: SearchEngine = None,
-               recorder=None, registry=None, attestation=None,
-               k=_UNSET, history_capacity=_UNSET, seed=_UNSET,
-               key_bits=_UNSET, connect=_UNSET,
-               max_workers=_UNSET, coalesce_window=_UNSET,
-               max_batch=_UNSET, retry_policy=_UNSET, fanout=_UNSET,
-               replicas=_UNSET,
-               **proxy_options) -> "XSearchDeployment":
+               recorder=None, registry=None,
+               attestation=None) -> "XSearchDeployment":
         """Stand up a complete deployment from a :class:`DeploymentConfig`.
 
         ``engine``, ``recorder``, ``registry`` and ``attestation`` stay
@@ -237,48 +241,9 @@ class XSearchDeployment:
         is its session router, and ``deployment.proxy`` /
         ``deployment.scheduler`` keep pointing at replica 0 so existing
         single-node tooling still works.
-
-        Every pre-config keyword (``k=``, ``seed=``, ``max_workers=``,
-        proxy passthroughs such as ``fault_plan=`` or ``epc=``, …) still
-        resolves: it emits a :class:`DeprecationWarning` and folds into
-        the config, overriding the corresponding field.
         """
-        overrides = {}
-        for name, value in (
-            ("k", k), ("history_capacity", history_capacity),
-            ("seed", seed), ("key_bits", key_bits),
-            ("connect", connect), ("max_workers", max_workers),
-            ("coalesce_window", coalesce_window),
-            ("max_batch", max_batch), ("retry_policy", retry_policy),
-            ("fanout", fanout), ("replicas", replicas),
-        ):
-            if value is not _UNSET:
-                overrides[name] = value
         if config is None:
             config = DeploymentConfig()
-        folded = sorted(overrides) + sorted(proxy_options)
-        if folded:
-            warnings.warn(
-                "passing " + ", ".join(folded) + " directly to "
-                "XSearchDeployment.create() is deprecated; build a "
-                "DeploymentConfig(...) and pass create(config=...) "
-                "(proxy passthroughs go in DeploymentConfig.proxy_options)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if proxy_options:
-                merged = dict(config.proxy_options)
-                merged.update(proxy_options)
-                overrides["proxy_options"] = merged
-            config = config.replace(**overrides)
-        return cls._build(config, engine=engine,
-                          recorder=recorder, registry=registry,
-                          attestation=attestation)
-
-    @classmethod
-    def _build(cls, config: DeploymentConfig, *, engine,
-               recorder, registry,
-               attestation=None) -> "XSearchDeployment":
         if recorder is None and registry is None:
             from repro import obs
 
@@ -296,7 +261,7 @@ class XSearchDeployment:
 
         shared_options = dict(config.proxy_options)
         if config.retry_policy is not None:
-            shared_options.setdefault("retry_policy", config.retry_policy)
+            shared_options["retry_policy"] = config.retry_policy
         if config.fanout is not None:
             shared_options["fanout"] = config.fanout
         elif config.max_workers is not None:
@@ -304,7 +269,7 @@ class XSearchDeployment:
             # parallel unless the caller pinned fanout.  The pool is a
             # per-worker resource (two parallel engine connections per
             # worker, like cores × connections in a real deployment).
-            shared_options.setdefault("fanout", 2 * config.max_workers)
+            shared_options["fanout"] = 2 * config.max_workers
         if config.replicas > 1:
             # Failover replays sealed checkpoints between replicas, so a
             # cluster runs on one shared sealing platform by default
@@ -370,17 +335,8 @@ class XSearchDeployment:
             cluster=cluster,
             config=config,
         )
-        broker = Broker(
-            deployment.frontend,
-            service_public_key=attestation_service.public_key,
-            expected_measurement=primary.proxy.measurement,
-            recorder=recorder,
-            registry=registry,
-        )
-        deployment.broker = broker
-        deployment.default_client = XSearchClient(broker)
-        if config.connect:
-            broker.connect()
+        deployment.default_client = deployment.client(connect=config.connect)
+        deployment.broker = deployment.default_client._broker
         return deployment
 
     # ------------------------------------------------------------------
@@ -429,32 +385,8 @@ class XSearchDeployment:
         self.close()
 
     # ------------------------------------------------------------------
-    # Extra sessions and history warm-up
+    # History warm-up
     # ------------------------------------------------------------------
-    def new_broker(self, session_id: str = None) -> Broker:
-        """Deprecated: use ``deployment.client(user_id=...)`` instead.
-
-        Kept for compatibility; returns an additional attested broker
-        session against the same frontend.
-        """
-        warnings.warn(
-            "XSearchDeployment.new_broker() is deprecated; use "
-            "deployment.client(user_id=...) to mint an additional "
-            "attested client (its broker is reachable as client._broker)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        broker = Broker(
-            self.frontend,
-            service_public_key=self.attestation_service.public_key,
-            expected_measurement=self.proxy.measurement,
-            session_id=session_id,
-            recorder=self.recorder,
-            registry=self.registry,
-        )
-        broker.connect()
-        return broker
-
     def warm_history(self, queries) -> int:
         """Model other users' past traffic filling the history table."""
         return self.broker.ingest(queries)

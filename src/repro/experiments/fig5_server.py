@@ -82,8 +82,7 @@ def run_virtual(*, max_workers: int = 4, rates=(50, 100, 200, 400, 800),
     if fanout is None:
         fanout = 2 * max_workers
     recorder = TraceRecorder()
-    config = DeploymentConfig(seed=seed, k=k,
-                              proxy_options={"fanout": fanout})
+    config = DeploymentConfig(seed=seed, k=k, fanout=fanout)
     with XSearchDeployment.create(config=config,
                                   recorder=recorder) as deployment, \
             XSearchServer(deployment, idle_timeout=None,

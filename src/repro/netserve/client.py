@@ -36,7 +36,7 @@ from __future__ import annotations
 import socket
 import threading
 
-from repro.core.broker import DEFAULT_LIMIT, Broker, _limit_from_args
+from repro.core.broker import DEFAULT_LIMIT, Broker
 from repro.core.client import XSearchClient
 from repro.core.retry import RetryPolicy
 from repro.errors import (
@@ -399,16 +399,12 @@ class RemoteClient:
         the wire (the wire's ``REPLY_DEGRADED`` is a drain signal)."""
         return self._client.last_degraded
 
-    # The deprecated positional ``limit`` is resolved here, not passed
-    # through, so its DeprecationWarning names this method's caller.
-    def search(self, query: str, *args, limit: int = DEFAULT_LIMIT,
+    def search(self, query: str, *, limit: int = DEFAULT_LIMIT,
                **kwargs) -> list:
-        limit = _limit_from_args(args, limit, "search")
         return self._client.search(query, limit=limit, **kwargs)
 
-    def search_batch(self, queries, *args, limit: int = DEFAULT_LIMIT,
+    def search_batch(self, queries, *, limit: int = DEFAULT_LIMIT,
                      **kwargs) -> list:
-        limit = _limit_from_args(args, limit, "search_batch")
         return self._client.search_batch(queries, limit=limit, **kwargs)
 
     def ping(self, payload: bytes = b"") -> bytes:

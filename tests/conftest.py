@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.core.deployment import XSearchDeployment
+from repro.core.deployment import DeploymentConfig, XSearchDeployment
 from repro.datasets import AolStyleGenerator, GeneratorConfig, train_test_split
 from repro.experiments.context import ContextConfig, ExperimentContext
 from repro.search import CorpusConfig, SearchEngine, TrackingSearchEngine
@@ -45,7 +45,8 @@ def tracking_engine(small_engine):
 @pytest.fixture(scope="session")
 def deployment():
     """A fully wired X-Search deployment (shared; treat as append-only)."""
-    return XSearchDeployment.create(k=2, seed=11, history_capacity=10_000)
+    return XSearchDeployment.create(config=DeploymentConfig(
+        k=2, seed=11, history_capacity=10_000))
 
 
 @pytest.fixture(scope="session")

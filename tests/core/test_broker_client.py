@@ -41,7 +41,7 @@ def test_connect_and_search(stack):
     broker = make_broker(stack, "b1")
     broker.connect()
     assert broker.attested
-    results = broker.search("cheap hotel rome", 10)
+    results = broker.search("cheap hotel rome", limit=10)
     assert results
     assert all(r.title for r in results)
 
@@ -97,5 +97,5 @@ def test_sessions_are_isolated(stack):
     broker_b = make_broker(stack, "iso-b")
     broker_a.connect()
     broker_b.connect()
-    assert broker_a.search("hotel rome", 5)
-    assert broker_b.search("nfl playoffs", 5)
+    assert broker_a.search("hotel rome", limit=5)
+    assert broker_b.search("nfl playoffs", limit=5)

@@ -8,7 +8,7 @@ checkpointed, and clients heal transparently.
 
 import pytest
 
-from repro.core.deployment import XSearchDeployment
+from repro.core.deployment import DeploymentConfig, XSearchDeployment
 from repro.errors import EnclaveError, EnclaveLostError, TransientError
 from repro.faults import (
     ENGINE_SITES,
@@ -29,10 +29,13 @@ from repro.faults import (
 from repro.sgx.sealing import SealingPlatform
 
 
-def faulty_deployment(plan, **kwargs):
-    kwargs.setdefault("sealing_platform", SealingPlatform())
-    kwargs.setdefault("checkpoint_interval", 2)
-    return XSearchDeployment.create(seed=11, k=2, fault_plan=plan, **kwargs)
+def faulty_deployment(plan, *, connect=True):
+    return XSearchDeployment.create(config=DeploymentConfig(
+        seed=11, k=2, connect=connect,
+        proxy_options={"fault_plan": plan,
+                       "sealing_platform": SealingPlatform(),
+                       "checkpoint_interval": 2},
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -55,7 +58,8 @@ def test_periodic_checkpoint_tracks_request_volume():
 
 
 def test_no_sealing_platform_means_no_checkpointing():
-    deployment = XSearchDeployment.create(seed=11, fault_plan=FaultPlan())
+    deployment = XSearchDeployment.create(config=DeploymentConfig(
+        seed=11, proxy_options={"fault_plan": FaultPlan()}))
     with deployment:
         deployment.client.search("probe", limit=5)
         assert deployment.proxy.checkpoint_count == 0
@@ -91,7 +95,8 @@ def test_crash_respawn_restores_checkpointed_history():
 
 def test_crash_without_checkpoint_restarts_empty_but_alive():
     plan = FaultPlan(seed=0)
-    deployment = XSearchDeployment.create(seed=11, fault_plan=plan)
+    deployment = XSearchDeployment.create(config=DeploymentConfig(
+        seed=11, proxy_options={"fault_plan": plan}))
     with deployment:
         deployment.client.search("warmup", limit=5)
         plan.trigger(SITE_ECALL, KIND_CRASH)
@@ -102,7 +107,7 @@ def test_crash_without_checkpoint_restarts_empty_but_alive():
 
 
 def test_destroyed_enclave_raises_the_transient_loss_error():
-    deployment = XSearchDeployment.create(seed=11)
+    deployment = XSearchDeployment.create(config=DeploymentConfig(seed=11))
     deployment.proxy.enclave.destroy()
     with pytest.raises(EnclaveLostError):
         deployment.proxy.enclave.call("perf_stats")

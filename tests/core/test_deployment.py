@@ -1,7 +1,5 @@
 """The one-call deployment wiring (Figure 2 end to end)."""
 
-from repro.core.deployment import XSearchDeployment
-
 
 def test_deployment_searches(deployment):
     results = deployment.client.search("cheap hotel rome flight")
@@ -25,8 +23,8 @@ def test_engine_sees_obfuscated_query(deployment):
 
 
 def test_multiple_brokers_share_proxy(deployment):
-    second = deployment.new_broker("tenant-2")
-    assert second.search("nba standings", 5)
+    second = deployment.client(session_id="tenant-2")
+    assert second.search("nba standings", limit=5)
 
 
 def test_warm_history_counts(deployment):

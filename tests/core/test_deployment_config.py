@@ -1,13 +1,14 @@
-"""The DeploymentConfig facade and the deprecated-kwarg shims.
+"""The DeploymentConfig facade.
 
-The redesign's compatibility promise: ``create(config=...)`` is the one
-true spelling, every classic keyword still works (warning once, folding
-into the config), and both paths build byte-identical systems.
+``create(config=...)`` is the one spelling: a pre-config keyword such
+as ``create(k=2)`` is a plain :class:`TypeError`, and ``proxy_options``
+cannot re-set a key the deployment controls itself.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 import warnings
 
 import pytest
@@ -44,6 +45,21 @@ def test_config_validates_its_fields():
         DeploymentConfig(failover_threshold=0)
     with pytest.raises(ValueError):
         DeploymentConfig(version=CONFIG_VERSION + 1)
+    # proxy_options cannot re-set what the deployment passes the proxy
+    # itself; the error names the spelling to use instead.
+    for key, instead in (
+        ("k", "DeploymentConfig.k"),
+        ("history_capacity", "DeploymentConfig.history_capacity"),
+        ("rng_seed", "DeploymentConfig.seed"),
+        ("retry_policy", "DeploymentConfig.retry_policy"),
+        ("fanout", "DeploymentConfig.fanout"),
+        ("quoting_enclave", "create(attestation=...)"),
+        ("attestation_service", "create(attestation=...)"),
+        ("recorder", "create(recorder=...)"),
+        ("registry", "create(registry=...)"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(instead)):
+            DeploymentConfig(proxy_options={key: object()})
 
 
 def test_config_owns_copies_of_its_dicts():
@@ -66,23 +82,12 @@ def test_concurrent_property_tracks_max_workers():
 
 
 # ----------------------------------------------------------------------
-# The two create() paths
+# The one create() path
 # ----------------------------------------------------------------------
-def test_legacy_kwargs_warn_once_and_fold_into_the_config():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with XSearchDeployment.create(seed=11, k=3, history_capacity=64,
-                                      connect=False) as deployment:
-            config = deployment.config
-            assert (config.seed, config.k, config.history_capacity) \
-                == (11, 3, 64)
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)
-                    and "DeploymentConfig" in str(w.message)]
-    assert len(deprecations) == 1
-    message = str(deprecations[0].message)
-    for name in ("k", "seed", "history_capacity"):
-        assert name in message
+def test_create_rejects_pre_config_keywords():
+    for legacy in ({"k": 2}, {"seed": 11}, {"fault_plan": FaultPlan()}):
+        with pytest.raises(TypeError):
+            XSearchDeployment.create(**legacy)
 
 
 def test_config_path_does_not_warn():
@@ -95,54 +100,21 @@ def test_config_path_does_not_warn():
                 if issubclass(w.category, DeprecationWarning)]
 
 
-def test_both_paths_build_equivalent_deployments():
-    def observe(deployment):
-        results = deployment.client.search("museum train", limit=3)
-        return (
-            deployment.config.replace(connect=True),
-            [r.doc_id for r in results]
-            if results and hasattr(results[0], "doc_id")
-            else [str(r) for r in results],
-        )
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        with XSearchDeployment.create(seed=11, k=2) as deployment:
-            legacy = observe(deployment)
-    with XSearchDeployment.create(
-            config=DeploymentConfig(seed=11, k=2)) as deployment:
-        configured = observe(deployment)
-    assert legacy == configured
-
-
 def test_proxy_passthroughs_still_work_both_ways():
-    plan = FaultPlan(seed=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        with XSearchDeployment.create(seed=11, k=2, fault_plan=plan,
-                                      checkpoint_interval=5,
-                                      connect=False) as deployment:
-            assert deployment.config.proxy_options["fault_plan"] is plan
-            assert deployment.config.proxy_options[
-                "checkpoint_interval"] == 5
+    # Shared passthroughs reach every replica; a replica fault plan
+    # reaches only its own replica.
+    shared, own = FaultPlan(seed=0), FaultPlan(seed=1)
     config = DeploymentConfig(
-        seed=11, k=2, connect=False,
-        proxy_options={"fault_plan": FaultPlan(seed=0),
-                       "checkpoint_interval": 5},
+        seed=11, k=2, replicas=2, connect=False,
+        proxy_options={"fault_plan": shared, "checkpoint_interval": 5},
+        replica_fault_plans={1: own},
     )
     with XSearchDeployment.create(config=config) as deployment:
-        assert deployment.proxy is not None
-
-
-def test_mixing_config_and_overrides_folds_with_a_warning():
-    base = DeploymentConfig(seed=11, k=2, connect=False)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with XSearchDeployment.create(config=base, k=4) as deployment:
-            assert deployment.config.k == 4
-            assert deployment.config.seed == 11
-    assert any(issubclass(w.category, DeprecationWarning)
-               for w in caught)
+        first, second = (handle.proxy
+                         for handle in deployment.cluster.replicas)
+        assert first._fault_plan is shared and second._fault_plan is own
+        assert (first._checkpoint_interval
+                == second._checkpoint_interval == 5)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from repro.core.deployment import XSearchDeployment
+from repro.core.deployment import DeploymentConfig, XSearchDeployment
 from repro.core.scheduler import RequestScheduler
 from repro.errors import EnclaveError, EngineUnavailableError, ReproError
 from repro.obs import MetricsRegistry
@@ -296,8 +296,8 @@ def test_parameter_validation():
 # Integration: the real pipeline in concurrent mode
 # ----------------------------------------------------------------------
 def test_concurrent_deployment_serves_many_clients():
-    with XSearchDeployment.create(seed=5, k=2, max_workers=3,
-                                  max_batch=4) as deployment:
+    config = DeploymentConfig(seed=5, k=2, max_workers=3, max_batch=4)
+    with XSearchDeployment.create(config=config) as deployment:
         assert deployment.scheduler is not None
         assert deployment.frontend is deployment.scheduler
         clients = [deployment.client(user_id=f"user-{i}")
@@ -324,6 +324,7 @@ def test_concurrent_deployment_serves_many_clients():
 
 
 def test_default_deployment_has_no_scheduler():
-    with XSearchDeployment.create(seed=5, k=2) as deployment:
+    with XSearchDeployment.create(
+            config=DeploymentConfig(seed=5, k=2)) as deployment:
         assert deployment.scheduler is None
         assert deployment.frontend is deployment.proxy

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.core.deployment import XSearchDeployment
+from repro.core.deployment import DeploymentConfig, XSearchDeployment
 from repro.errors import ReproError
 from repro.faults.plan import (
     KIND_CRASH,
@@ -45,10 +45,10 @@ def test_stress_every_request_has_exactly_one_outcome():
     outcomes = []
     outcome_lock = threading.Lock()
 
+    config = DeploymentConfig(seed=11, k=2, max_workers=4, max_batch=4,
+                              proxy_options={"fault_plan": plan})
     with XSearchDeployment.create(
-        seed=11, k=2, max_workers=4, max_batch=4,
-        fault_plan=plan,
-        recorder=NullRecorder(), registry=registry,
+        config=config, recorder=NullRecorder(), registry=registry,
     ) as deployment:
         clients = [deployment.client(user_id=f"stress-{i}")
                    for i in range(N_CLIENTS)]

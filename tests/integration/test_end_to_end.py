@@ -7,7 +7,7 @@ import pytest
 from repro.baselines.direct import DirectClient
 from repro.baselines.peas import PeasSystem
 from repro.baselines.tor import TorNetwork
-from repro.core.deployment import XSearchDeployment
+from repro.core.deployment import DeploymentConfig, XSearchDeployment
 from repro.metrics.accuracy import precision_recall
 from repro.search.tracking import TrackingSearchEngine
 
@@ -16,7 +16,7 @@ def test_full_session_lifecycle(deployment):
     """Figure 2's six steps, observed end to end."""
     deployment.warm_history([f"session warm {i}" for i in range(20)])
     before = len(deployment.tracking.observations)
-    results = deployment.client.search("cheap hotel rome flight", 10)
+    results = deployment.client.search("cheap hotel rome flight", limit=10)
     # 6) The user got relevant, cleaned results.
     assert results
     assert all("redirect?target=" not in r.url for r in results)
@@ -35,7 +35,7 @@ def test_xsearch_accuracy_against_direct_results(deployment):
     )
     query = "diabetes symptoms treatment"
     direct = deployment.engine.search(query, 20)
-    private = deployment.client.search(query, 20)
+    private = deployment.client.search(query, limit=20)
     precision, recall = precision_recall(direct, private)
     assert recall > 0.5
     assert precision > 0.5
@@ -54,10 +54,11 @@ def test_three_systems_side_by_side(small_engine):
     tor_view = tracking.observations[-1]
 
     deployment = XSearchDeployment.create(
-        k=2, seed=5, history_capacity=1000, engine=small_engine
+        config=DeploymentConfig(k=2, seed=5, history_capacity=1000),
+        engine=small_engine,
     )
     deployment.warm_history([f"warm {i} queries" for i in range(10)])
-    deployment.client.search(query, 5)
+    deployment.client.search(query, limit=5)
     xsearch_view = deployment.tracking.observations[-1]
 
     # Direct: identity + query. Tor: query only. X-Search: neither.
@@ -83,16 +84,17 @@ def test_peas_and_xsearch_results_comparable(small_engine, split_log):
 def test_history_is_shared_across_sessions(small_engine):
     """A query sent by one client can later serve as another's fake."""
     deployment = XSearchDeployment.create(
-        k=3, seed=21, history_capacity=1000, engine=small_engine
+        config=DeploymentConfig(k=3, seed=21, history_capacity=1000),
+        engine=small_engine,
     )
-    tenant = deployment.new_broker("cross-session")
+    tenant = deployment.client(session_id="cross-session")
     marker = "crosssessionmarker999"
-    tenant.search(marker, 5)
+    tenant.search(marker, limit=5)
     # The history holds only the marker (plus the probes as they stream),
     # so the marker must quickly appear as a fake in another session.
     hits = 0
     for i in range(25):
-        deployment.client.search(f"probe {i} hotel", 5)
+        deployment.client.search(f"probe {i} hotel", limit=5)
         observed = deployment.tracking.observations[-1].text
         if marker in observed and f"probe {i} hotel" in observed:
             hits += 1

@@ -9,7 +9,7 @@ bit-for-bit identical ``Enclave.boundary_snapshot()`` deltas.
 
 import pytest
 
-from repro.core.deployment import XSearchDeployment
+from repro.core.deployment import DeploymentConfig, XSearchDeployment
 from repro.obs import NullRecorder, TraceRecorder
 
 UNINSTRUMENTED = object()
@@ -17,7 +17,8 @@ UNINSTRUMENTED = object()
 
 def boundary_fingerprint(recorder):
     kwargs = {} if recorder is UNINSTRUMENTED else {"recorder": recorder}
-    with XSearchDeployment.create(seed=11, k=2, **kwargs) as dep:
+    with XSearchDeployment.create(config=DeploymentConfig(seed=11, k=2),
+                                  **kwargs) as dep:
         dep.client.search("warmup query", limit=3)  # one-time connect
         before = dep.proxy.enclave.boundary_snapshot()
         for i in range(6):
@@ -43,7 +44,8 @@ def test_instrumentation_leaves_boundary_deltas_untouched(make_recorder):
 
 def test_uninstrumented_deployment_records_nothing():
     recorder = NullRecorder()
-    with XSearchDeployment.create(seed=11, k=2, recorder=recorder) as dep:
+    with XSearchDeployment.create(config=DeploymentConfig(seed=11, k=2),
+                                  recorder=recorder) as dep:
         dep.client.search("probe query", limit=3)
     assert recorder.traces == ()
     assert recorder.enabled is False

@@ -3,8 +3,9 @@
 
 The deployment/client facade is the contract downstream code programs
 against; this script fails (exit 1) if a public name disappears, if the
-uniform call surface loses one of its keyword options, or if the
-deprecated spellings stop working.  It also enforces the observability
+uniform call surface loses one of its keyword options, or if a removed
+spelling (pre-config ``create`` keywords, positional ``limit``,
+``new_broker``) comes back.  It also enforces the observability
 layer's zero-overhead promise: a deployment instrumented with the no-op
 recorder (or a live ``TraceRecorder``) must produce bit-for-bit the same
 ``Enclave.boundary_snapshot()`` deltas as an uninstrumented one.  Run it
@@ -57,7 +58,8 @@ EXPECTED_CORE_NAMES = [
     "DEFAULT_FAILOVER_THRESHOLD",
 ]
 
-# method -> keyword-only parameters the uniform surface promises.
+# method -> keyword-only parameters the uniform surface promises (and
+# no ``*args``: ``limit`` is never positional).
 EXPECTED_CALL_SURFACE = {
     "XSearchClient.search": {"limit", "timeout", "retry_policy"},
     "XSearchClient.search_batch": {"limit", "timeout", "retry_policy"},
@@ -65,10 +67,15 @@ EXPECTED_CALL_SURFACE = {
     "Broker.search_batch": {"limit", "timeout", "retry_policy"},
 }
 
+# The exact keyword set of XSearchDeployment.create: configuration goes
+# in the config, the rest are live objects.
+EXPECTED_CREATE_PARAMS = ["config", "engine", "recorder", "registry",
+                          "attestation"]
+
 # Attributes/methods the facade must keep exposing.
 EXPECTED_ATTRS = {
     "XSearchDeployment": ["create", "close", "__enter__", "__exit__",
-                          "client", "new_broker", "warm_history"],
+                          "client", "warm_history"],
     "XSearchProxyHost": ["request", "request_batch", "request_many",
                          "close", "checkpoint_now", "seal_history",
                          "restore_history", "attestation_evidence",
@@ -349,15 +356,17 @@ def check_dataflow_surface(problems: list) -> None:
 
 
 def check_scheduler_surface(problems: list) -> None:
-    """The concurrent-mode contract: the deployment's scheduler
-    keywords and the scheduler's own tunables stay available."""
-    from repro.core import RequestScheduler, XSearchDeployment
+    """The concurrent-mode contract: the config's scheduler fields and
+    the scheduler's own tunables stay available."""
+    import dataclasses
 
-    create_params = inspect.signature(XSearchDeployment.create).parameters
+    from repro.core import DeploymentConfig, RequestScheduler
+
+    config_fields = {f.name for f in dataclasses.fields(DeploymentConfig)}
     for keyword in ("max_workers", "coalesce_window", "max_batch"):
-        if keyword not in create_params:
+        if keyword not in config_fields:
             problems.append(
-                f"XSearchDeployment.create lost keyword {keyword!r}"
+                f"DeploymentConfig lost field {keyword!r}"
             )
     init_params = inspect.signature(RequestScheduler.__init__).parameters
     for keyword in ("max_workers", "coalesce_window", "max_batch",
@@ -368,28 +377,47 @@ def check_scheduler_surface(problems: list) -> None:
 
 def check_deployment_config_surface(problems: list) -> None:
     """The config-facade contract: ``create`` accepts a frozen
-    :class:`DeploymentConfig`, every deprecated kwarg spelling still
-    works (with a ``DeprecationWarning``) and folds into an equivalent
-    config, and the cluster surface is uniform (``deployment.cluster``
-    exists even at one replica; ``deployment.frontend`` is the session
-    router exactly when there is more than one)."""
+    :class:`DeploymentConfig` and nothing else configures it (a
+    pre-config keyword is a ``TypeError``), ``limit`` is keyword-only,
+    and the cluster surface is uniform (``deployment.cluster`` exists
+    even at one replica; ``deployment.frontend`` is the session router
+    exactly when there is more than one)."""
     import warnings
 
     from repro.core import DeploymentConfig, XSearchDeployment
+    from repro.faults import FaultPlan
 
-    # Deprecated kwargs: must warn, must fold into the config.
+    params = list(inspect.signature(XSearchDeployment.create).parameters)
+    if params != EXPECTED_CREATE_PARAMS:
+        problems.append(
+            f"XSearchDeployment.create takes {params}, expected exactly "
+            f"{EXPECTED_CREATE_PARAMS}"
+        )
+    if hasattr(XSearchDeployment, "new_broker"):
+        problems.append("removed XSearchDeployment.new_broker is back; "
+                        "mint clients with deployment.client(...)")
+    # Removed pre-config keywords: a plain TypeError, nothing built.
+    for legacy in ({"k": 2}, {"fault_plan": FaultPlan()}):
+        try:
+            XSearchDeployment.create(**legacy).close()
+        except TypeError:
+            pass
+        else:
+            problems.append(
+                f"XSearchDeployment.create({next(iter(legacy))}=...) is "
+                f"accepted again; configuration goes in DeploymentConfig"
+            )
+
+    # The config path: preserved config, uniform cluster, no warning.
+    config = DeploymentConfig(seed=11, k=2, history_capacity=64,
+                              max_workers=2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with XSearchDeployment.create(seed=11, k=2, history_capacity=64,
-                                      max_workers=2,
-                                      connect=False) as deployment:
-            config = deployment.config
-            if (config is None or config.seed != 11 or config.k != 2
-                    or config.history_capacity != 64
-                    or config.max_workers != 2):
+        with XSearchDeployment.create(config=config) as deployment:
+            if deployment.config != config:
                 problems.append(
-                    "legacy create() kwargs no longer fold into "
-                    f"DeploymentConfig (got {config!r})"
+                    "create(config=...) does not preserve the config: "
+                    f"{deployment.config!r} != {config!r}"
                 )
             if deployment.cluster is None or deployment.cluster.size != 1:
                 problems.append(
@@ -400,24 +428,17 @@ def check_deployment_config_surface(problems: list) -> None:
                     "single-replica concurrent frontend is no longer "
                     "the scheduler"
                 )
-    if not any(issubclass(w.category, DeprecationWarning)
-               for w in caught):
-        problems.append(
-            "deprecated create() kwargs no longer emit "
-            "DeprecationWarning"
-        )
-
-    # The config path: same deployment, no warning.
-    config = DeploymentConfig(seed=11, k=2, history_capacity=64,
-                              max_workers=2, connect=False)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with XSearchDeployment.create(config=config) as deployment:
-            if deployment.config != config:
-                problems.append(
-                    "create(config=...) does not preserve the config: "
-                    f"{deployment.config!r} != {config!r}"
-                )
+            # Removed positional limit: a plain TypeError.
+            for target in (deployment.default_client, deployment.broker):
+                try:
+                    target.search("probe query", 5)
+                except TypeError:
+                    pass
+                else:
+                    problems.append(
+                        f"{type(target).__name__}.search accepts a "
+                        f"positional limit again"
+                    )
     if any(issubclass(w.category, DeprecationWarning) for w in caught):
         problems.append("create(config=...) spuriously warns")
 
@@ -552,10 +573,11 @@ def check_netserve_surface(problems: list) -> None:
     # Live loopback smoke: port 0 binding, the chosen port via
     # ``address``, and a search whose answer matches the in-process
     # client's byte for byte.
-    from repro.core import XSearchDeployment
+    from repro.core import DeploymentConfig, XSearchDeployment
     from repro.netserve import RemoteClient, XSearchServer
 
-    with XSearchDeployment.create(seed=11, k=2) as deployment:
+    config = DeploymentConfig(seed=11, k=2)
+    with XSearchDeployment.create(config=config) as deployment:
         with XSearchServer(deployment, port=0) as server:
             host, port = server.address
             if port == 0:
@@ -576,6 +598,17 @@ def check_netserve_surface(problems: list) -> None:
                         "remote search diverges from the in-process "
                         "client on the same deployment"
                     )
+                for method, query in (("search", "probe query"),
+                                      ("search_batch", ["probe query"])):
+                    try:
+                        getattr(remote, method)(query, 3)
+                    except TypeError:
+                        pass
+                    else:
+                        problems.append(
+                            f"RemoteClient.{method} accepts a positional "
+                            f"limit again"
+                        )
                 for counter in ("busy_rebuffs", "drain_notices"):
                     if not hasattr(remote.transport, counter):
                         problems.append(
@@ -588,12 +621,13 @@ def check_netserve_surface(problems: list) -> None:
 def check_noop_boundary_deltas(problems: list) -> None:
     """The zero-overhead contract: observability must never perturb the
     boundary-crossing counts the benchmarks assert on."""
-    from repro.core.deployment import XSearchDeployment
+    from repro.core.deployment import DeploymentConfig, XSearchDeployment
     from repro.obs import NullRecorder, TraceRecorder
 
     def boundary_fingerprint(recorder):
         kwargs = {} if recorder is ... else {"recorder": recorder}
-        with XSearchDeployment.create(seed=11, k=2, **kwargs) as dep:
+        config = DeploymentConfig(seed=11, k=2)
+        with XSearchDeployment.create(config=config, **kwargs) as dep:
             dep.client.search("warmup query", limit=3)  # one-time connect
             before = dep.proxy.enclave.boundary_snapshot()
             for i in range(8):
@@ -652,9 +686,9 @@ def main() -> int:
             parameter.kind is inspect.Parameter.VAR_POSITIONAL
             for parameter in signature.parameters.values()
         )
-        if not has_varargs:
+        if has_varargs:
             problems.append(
-                f"{dotted} dropped the deprecated positional-limit shim"
+                f"{dotted} takes *args again; limit is keyword-only"
             )
 
     for cls_name, attrs in EXPECTED_ATTRS.items():
@@ -723,7 +757,7 @@ def main() -> int:
         f"{len(EXPECTED_CALL_SURFACE)} call signatures, "
         f"{sum(len(a) for a in EXPECTED_ATTRS.values()) + sum(len(a) for a in EXPECTED_OBS_ATTRS.values()) + sum(len(a) for a in EXPECTED_ANALYSIS_ATTRS.values())} attributes, "
         f"finding schema v1, "
-        f"config facade + deprecated-kwarg shims intact, "
+        f"one create() spelling, keyword-only limit, "
         f"boundary deltas invariant under instrumentation"
     )
     return 0
